@@ -12,17 +12,22 @@ that are in ``QC1`` are *class-1*, those in ``QC2 \\ QC1`` are *class-2*
 and the rest are *class-3*; per the paper, class-1 quorums are also
 class-2 quorums which are also class-3 quorums, so :meth:`quorum_class`
 returns the *best* (smallest-numbered) class of a quorum.
+
+A system is immutable, so the set algebra the reader's best-case
+detector runs on every read is compiled once per instance into
+:class:`RqsMasks` (see :attr:`RefinedQuorumSystem.masks`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (
+    Dict,
     FrozenSet,
     Hashable,
     Iterable,
     Iterator,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -70,6 +75,9 @@ class RefinedQuorumSystem:
             self._qc2 = self._qc1
         else:
             self._qc2 = props.normalize_family(qc2)
+        self._quorum_set = frozenset(self._quorums)
+        self._qc1_set = frozenset(self._qc1)
+        self._qc2_set = frozenset(self._qc2)
         self._check_shape()
         if validate:
             violation = self.first_violation()
@@ -90,11 +98,17 @@ class RefinedQuorumSystem:
                 )
             if not quorum:
                 raise QuorumSystemError("quorums must be non-empty")
-        quorum_set = set(self._quorums)
-        if not set(self._qc2) <= quorum_set:
+        if not self._qc2_set <= self._quorum_set:
             raise QuorumSystemError("QC2 must be a sub-family of RQS")
-        if not set(self._qc1) <= set(self._qc2):
+        if not self._qc1_set <= self._qc2_set:
             raise QuorumSystemError("QC1 must be a sub-family of QC2")
+
+    # The compiled view is a per-process cache: rebuild it after unpickling
+    # rather than shipping its memo tables.
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("masks", None)
+        return state
 
     # -- basic accessors -----------------------------------------------------
 
@@ -130,16 +144,16 @@ class RefinedQuorumSystem:
         raise ValueError(f"quorum class must be 1, 2 or 3, got {cls}")
 
     def is_quorum(self, candidate: Iterable[Hashable]) -> bool:
-        return as_subset(candidate) in set(self._quorums)
+        return as_subset(candidate) in self._quorum_set
 
     def quorum_class(self, quorum: Iterable[Hashable]) -> int:
         """Best (lowest) class of ``quorum``; raises if it is not a quorum."""
         target = as_subset(quorum)
-        if target in set(self._qc1):
+        if target in self._qc1_set:
             return 1
-        if target in set(self._qc2):
+        if target in self._qc2_set:
             return 2
-        if target in set(self._quorums):
+        if target in self._quorum_set:
             return 3
         raise QuorumSystemError(f"{set(target)} is not a quorum of this RQS")
 
@@ -148,6 +162,11 @@ class RefinedQuorumSystem:
         return tuple(
             q for q in self._quorums if self.quorum_class(q) == cls
         )
+
+    @cached_property
+    def masks(self) -> "RqsMasks":
+        """The bitmask compilation of this system, built on first use."""
+        return RqsMasks(self)
 
     # -- predicates re-exported for algorithm code ---------------------------
 
@@ -248,6 +267,113 @@ class RefinedQuorumSystem:
             f"|RQS|={len(self._quorums)}, |QC2|={len(self._qc2)}, "
             f"|QC1|={len(self._qc1)})"
         )
+
+
+def _minimal(masks: Iterable[int]) -> Tuple[int, ...]:
+    """The inclusion-minimal non-zero masks among ``masks``.
+
+    "Some mask is contained in ``M``" holds iff some minimal one is, so
+    the detector tables keep only those, smallest first.
+    """
+    kept = []
+    by_size = sorted(set(masks) - {0}, key=lambda m: (bin(m).count("1"), m))
+    for mask in by_size:
+        if all(small & ~mask for small in kept):
+            kept.append(mask)
+    return tuple(kept)
+
+
+class RqsMasks:
+    """A refined quorum system compiled to bitmasks over its ground set.
+
+    Server ``order[i]`` is bit ``1 << i`` (the ground set sorted by
+    ``repr``), so a set of servers is an ``int`` and containment is
+    ``a & ~b == 0``.  The tables serve the best-case detector
+    ``BCD`` (Figure 7, lines 1-2), whose inputs are the intersections of
+    two quorum families, and whose question is always "is some
+    intersection held entirely by the servers in mask ``M``?":
+
+    * ``BCD(c, 1, R)`` for ``R ∈ {1, 3}``: the intersections ``Q1 ∩ QR``
+      as one table per ``R``;
+    * ``BCD(c, 1, 2)``: ``Q1 ∩ Q2`` per class-2 quorum ``Q2``, because a
+      server only counts for ``Q2`` when it also carries ``Q2``'s id;
+    * ``BCD(c, 2, R)``: ``QR ∩ Q2`` per class-2 quorum ``Q2``.
+
+    Each table keeps only its inclusion-minimal non-empty intersections.
+    Answers are pure functions of ``(R, M)``, memoised here: at most
+    ``2ⁿ`` masks per ``R`` for ``n`` servers.
+    """
+
+    def __init__(self, rqs: RefinedQuorumSystem):
+        self.order: Tuple[Hashable, ...] = tuple(
+            sorted(rqs.ground_set, key=repr)
+        )
+        self.bits: Tuple[Tuple[Hashable, int], ...] = tuple(
+            (server, 1 << i) for i, server in enumerate(self.order)
+        )
+        self._bit = dict(self.bits)
+        family = {
+            cls: tuple(self.mask(q) for q in rqs.class_quorums(cls))
+            for cls in (1, 2, 3)
+        }
+        self._bcd1 = {
+            big_r: _minimal(
+                q1 & qr for q1 in family[1] for qr in family[big_r]
+            )
+            for big_r in (1, 3)
+        }
+        self._bcd1_by_q2 = {
+            q2: _minimal(q1 & mask2 for q1 in family[1])
+            for q2, mask2 in zip(rqs.qc2, family[2])
+        }
+        self._bcd2 = {
+            big_r: tuple(
+                (q2, _minimal(qr & mask2 for qr in family[big_r]))
+                for q2, mask2 in zip(rqs.qc2, family[2])
+            )
+            for big_r in (1, 2, 3)
+        }
+        self._bcd1_memo: Dict[Tuple[int, int], bool] = {}
+        self._bcd2_memo: Dict[Tuple[int, int], FrozenSet[Subset]] = {}
+
+    def mask(self, servers: Iterable[Hashable]) -> int:
+        """The bitmask of ``servers`` (each must be in the ground set)."""
+        result = 0
+        for server in servers:
+            result |= self._bit[server]
+        return result
+
+    def bcd1(self, big_r: int, held: int) -> bool:
+        """``BCD(c, 1, R)`` for ``R ∈ {1, 3}``, given the mask ``held`` of
+        servers reporting ``⟨c, ·⟩`` in slot ``R``."""
+        key = (big_r, held)
+        answer = self._bcd1_memo.get(key)
+        if answer is None:
+            answer = self._bcd1_memo[key] = any(
+                not inter & ~held for inter in self._bcd1[big_r]
+            )
+        return answer
+
+    def bcd1_slot2(self, q2: Subset, held: int) -> bool:
+        """``BCD(c, 1, 2)`` through class-2 quorum ``q2``, given the mask
+        ``held`` of servers reporting ``⟨c, ·⟩`` in slot 2 with ``q2``'s
+        id; ``False`` when ``q2`` is not a class-2 quorum."""
+        return any(
+            not inter & ~held for inter in self._bcd1_by_q2.get(q2, ())
+        )
+
+    def bcd2(self, big_r: int, held: int) -> FrozenSet[Subset]:
+        """The class-2 quorums ``Q2`` some class-``R`` quorum confirms in
+        ``BCD(c, 2, R)``, given the mask ``held`` of servers reporting
+        ``⟨c, ·⟩`` in slot ``R``."""
+        key = (big_r, held)
+        answer = self._bcd2_memo.get(key)
+        if answer is None:
+            answer = self._bcd2_memo[key] = frozenset(
+                q2 for q2, table in self._bcd2[big_r]
+                if any(not inter & ~held for inter in table)
+            )
+        return answer
 
 
 def describe(rqs: RefinedQuorumSystem) -> str:

@@ -65,6 +65,14 @@ register_rqs("grid-hetero", lambda: demo_grid_rqs(heterogeneous=True))
 register_rqs("grid-homog", lambda: demo_grid_rqs(heterogeneous=False))
 
 
+#: Systems already resolved from a string in this process.  A resolved
+#: system is immutable, so equal strings share one instance: it is built
+#: and validated once, and its compiled masks and detector memo (see
+#: :class:`~repro.core.rqs.RqsMasks`) carry over between runs.  Forked
+#: workers inherit the entries; a spec that raises is not recorded.
+_RESOLVED: Dict[str, RefinedQuorumSystem] = {}
+
+
 def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     """Resolve a spec's ``rqs`` field to a concrete system.
 
@@ -79,6 +87,9 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     * ``"majority:n"`` — Example 2,
     * ``"byzantine:n"`` — Example 3,
     * ``"pbft:t"`` — the ``n = 3t + 1`` instantiation.
+
+    Strings are resolved once per process and the same instance is
+    returned for every later equal string.
     """
     if spec is None or isinstance(spec, RefinedQuorumSystem):
         return spec
@@ -89,6 +100,13 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
             f"rqs must be a RefinedQuorumSystem, a name, or None; "
             f"got {spec!r}"
         )
+    rqs = _RESOLVED.get(spec)
+    if rqs is None:
+        rqs = _RESOLVED[spec] = _build_rqs(spec)
+    return rqs
+
+
+def _build_rqs(spec: str) -> RefinedQuorumSystem:
     if spec in _NAMED_RQS:
         return _NAMED_RQS[spec]()
     if ":" in spec:

@@ -158,9 +158,12 @@ class ReadState:
 
     def invalid(self, c: Pair) -> bool:
         """Line 6."""
+        return self._invalid(c, self.responded_quorums())
+
+    def _invalid(self, c: Pair, responded: Tuple[QuorumId, ...]) -> bool:
         if c.ts > self.highest_ts:
             return True
-        for quorum in self.responded_quorums():
+        for quorum in responded:
             if not (
                 self.valid1(c, quorum)
                 or self.valid2(c, quorum)
@@ -181,17 +184,40 @@ class ReadState:
 
     def high_cand(self, c: Pair) -> bool:
         """Line 9: every readable pair with a higher timestamp is invalid."""
-        for candidate in self.observed_pairs():
-            if candidate.ts > c.ts and not self.invalid(candidate):
-                return False
+        return self._high_cand(
+            c, self.observed_pairs(), self.responded_quorums(), {}
+        )
+
+    def _high_cand(
+        self,
+        c: Pair,
+        observed: List[Pair],
+        responded: Tuple[QuorumId, ...],
+        invalid: Dict[Pair, bool],
+    ) -> bool:
+        """:meth:`high_cand` over precomputed ``observed`` pairs and
+        ``responded`` quorums, caching each pair's ``invalid`` verdict."""
+        for candidate in observed:
+            if candidate.ts > c.ts:
+                verdict = invalid.get(candidate)
+                if verdict is None:
+                    verdict = invalid[candidate] = self._invalid(
+                        candidate, responded
+                    )
+                if not verdict:
+                    return False
         return True
 
     def candidates(self) -> List[Pair]:
         """Line 33: ``C = {c | safe(c) ∧ highCand(c)}``."""
+        observed = self.observed_pairs()
+        responded = self.responded_quorums()
+        invalid: Dict[Pair, bool] = {}
         return [
             c
-            for c in self.observed_pairs()
-            if self.safe(c) and self.high_cand(c)
+            for c in observed
+            if self.safe(c)
+            and self._high_cand(c, observed, responded, invalid)
         ]
 
     def select(self) -> Optional[Pair]:
@@ -202,6 +228,23 @@ class ReadState:
         return max(candidates, key=lambda p: p.ts)
 
     # -- best-case detector ------------------------------------------------------------
+    #
+    # Both detectors ask whether some intersection of two quorum families
+    # is held entirely by the servers reporting ``⟨c, ·⟩`` in slot ``R``;
+    # the intersections are compiled once per system in ``rqs.masks``.
+
+    def _holders(self, c: Pair, big_r: int) -> int:
+        """Mask of servers whose slot-``R`` entry for ``c.ts`` holds ``c``.
+
+        A server that never answered reads as the initial entry, so
+        ``⟨0, ⊥⟩`` is held by every such server.
+        """
+        view = self.view
+        held = 0
+        for server, bit in self.rqs.masks.bits:
+            if view.get(server, EMPTY_VIEW).get(c.ts, big_r).pair == c:
+                held |= bit
+        return held
 
     def bcd1(self, c: Pair, big_r: int) -> bool:
         """``BCD(c, 1, R)`` (line 1).
@@ -212,37 +255,25 @@ class ReadState:
         among its slot-2 quorum ids.  (We allow per-server id sets; the
         paper's single shared ``Set`` is the uncontended special case.)
         """
-        for q1 in self.rqs.qc1:
-            for qr in self.rqs.class_quorums(big_r):
-                intersection = q1 & qr
-                if not intersection:
-                    continue
-                ok = True
-                for s in intersection:
-                    entry = self.entry(s, c.ts, big_r)
-                    if entry.pair != c:
-                        ok = False
-                        break
-                    if big_r == 2 and qr not in entry.sets:
-                        ok = False
-                        break
-                if ok:
-                    return True
-        return False
+        masks = self.rqs.masks
+        if big_r != 2:
+            return masks.bcd1(big_r, self._holders(c, big_r))
+        # Slot 2 counts a server for QR only when it carries QR's id, so
+        # the test runs per quorum id the conforming servers report.
+        view = self.view
+        held_by_id: Dict[QuorumId, int] = {}
+        for server, bit in masks.bits:
+            entry = view.get(server, EMPTY_VIEW).get(c.ts, 2)
+            if entry.pair == c:
+                for q2 in entry.sets:
+                    held_by_id[q2] = held_by_id.get(q2, 0) | bit
+        return any(
+            masks.bcd1_slot2(q2, held) for q2, held in held_by_id.items()
+        )
 
     def bcd2(self, c: Pair, big_r: int) -> Tuple[QuorumId, ...]:
         """``BCD(c, 2, R)`` (line 2): the class-2 quorums of ``QC'2`` that
-        are "confirmed" through some class-``R`` quorum."""
-        result = []
-        for q2 in self.qc2_responded:
-            for qr in self.rqs.class_quorums(big_r):
-                intersection = qr & q2
-                if not intersection:
-                    continue
-                if all(
-                    self.entry(s, c.ts, big_r).pair == c
-                    for s in intersection
-                ):
-                    result.append(q2)
-                    break
-        return tuple(result)
+        are "confirmed" through some class-``R`` quorum, in ``QC'2``
+        order."""
+        confirmed = self.rqs.masks.bcd2(big_r, self._holders(c, big_r))
+        return tuple(q2 for q2 in self.qc2_responded if q2 in confirmed)

@@ -102,6 +102,41 @@ class TestQuorumClasses:
             rqs.class_quorums(4)
 
 
+class TestMasks:
+    def test_bit_order_and_masks(self):
+        rqs = threshold_rqs(8, 3, 1, 1, 2)
+        masks = rqs.masks
+        assert masks is rqs.masks  # built once per instance
+        assert masks.order == tuple(sorted(rqs.ground_set, key=repr))
+        for i, server in enumerate(masks.order):
+            assert masks.mask([server]) == 1 << i
+        assert masks.mask(rqs.ground_set) == (1 << 8) - 1
+
+    def test_detector_tables_keep_minimal_intersections(self):
+        """Q1 misses at most q=1 server and QR at most R's budget, so the
+        minimal intersections miss exactly both budgets: C(8, 2) for
+        R = 1, C(8, 4) for R = 3."""
+        masks = threshold_rqs(8, 3, 1, 1, 2).masks
+        full = (1 << 8) - 1
+        assert masks.bcd1(1, full) and masks.bcd1(3, full)
+        assert not masks.bcd1(1, 0) and not masks.bcd1(3, 0)
+        six = masks.mask(range(3, 9))
+        four = masks.mask(range(5, 9))
+        assert masks.bcd1(1, six) and not masks.bcd1(1, four)
+        assert masks.bcd1(3, four)
+        assert len(masks._bcd1[1]) == 28 and len(masks._bcd1[3]) == 70
+
+    def test_pickling_drops_the_compiled_view(self):
+        import pickle
+
+        rqs = threshold_rqs(8, 3, 1, 1, 2)
+        rqs.masks.bcd1(1, 0)
+        clone = pickle.loads(pickle.dumps(rqs))
+        assert "masks" not in vars(clone)
+        assert clone.masks.order == rqs.masks.order
+        assert clone.quorum_class(rqs.qc1[0]) == 1
+
+
 class TestSelectionHelpers:
     def test_responding_quorums(self):
         rqs = example7_rqs()

@@ -1,8 +1,20 @@
 """Tests for the reader-side predicates (Figure 7 lines 1-9)."""
 
+import random
+from typing import List, Tuple
+
+import pytest
+
 from repro.core.constructions import example7_rqs, threshold_rqs
-from repro.storage.history import History, Pair
-from repro.storage.predicates import ReadState
+from repro.scenarios import resolve_rqs
+from repro.storage.history import (
+    INITIAL_PAIR,
+    Entry,
+    History,
+    HistoryView,
+    Pair,
+)
+from repro.storage.predicates import QuorumId, ReadState
 
 
 def snapshot_with(ts, rnd, value, quorums=frozenset()):
@@ -155,3 +167,167 @@ class TestBcd:
             state.record_ack(server, 1, snapshot_with(1, 1, "v"))
         state.freeze_round1()
         assert state.bcd2(c, 1) == ()
+
+
+class SetBasedReadState(ReadState):
+    """The set-based predicates the bitmask kernel replaced, kept
+    verbatim as the oracle of the differential test below."""
+
+    def high_cand(self, c: Pair) -> bool:
+        """Line 9: every readable pair with a higher timestamp is invalid."""
+        for candidate in self.observed_pairs():
+            if candidate.ts > c.ts and not self.invalid(candidate):
+                return False
+        return True
+
+    def candidates(self) -> List[Pair]:
+        """Line 33: ``C = {c | safe(c) ∧ highCand(c)}``."""
+        return [
+            c
+            for c in self.observed_pairs()
+            if self.safe(c) and self.high_cand(c)
+        ]
+
+    def bcd1(self, c: Pair, big_r: int) -> bool:
+        """``BCD(c, 1, R)`` (line 1).
+
+        Holds iff there are a class-1 quorum ``Q1`` and a class-``R``
+        quorum ``QR`` such that every server of ``Q1 ∩ QR`` reports
+        ``⟨c, ·⟩`` in slot ``R`` — and, when ``R = 2``, reports ``QR``
+        among its slot-2 quorum ids.  (We allow per-server id sets; the
+        paper's single shared ``Set`` is the uncontended special case.)
+        """
+        for q1 in self.rqs.qc1:
+            for qr in self.rqs.class_quorums(big_r):
+                intersection = q1 & qr
+                if not intersection:
+                    continue
+                ok = True
+                for s in intersection:
+                    entry = self.entry(s, c.ts, big_r)
+                    if entry.pair != c:
+                        ok = False
+                        break
+                    if big_r == 2 and qr not in entry.sets:
+                        ok = False
+                        break
+                if ok:
+                    return True
+        return False
+
+    def bcd2(self, c: Pair, big_r: int) -> Tuple[QuorumId, ...]:
+        """``BCD(c, 2, R)`` (line 2): the class-2 quorums of ``QC'2`` that
+        are "confirmed" through some class-``R`` quorum."""
+        result = []
+        for q2 in self.qc2_responded:
+            for qr in self.rqs.class_quorums(big_r):
+                intersection = qr & q2
+                if not intersection:
+                    continue
+                if all(
+                    self.entry(s, c.ts, big_r).pair == c
+                    for s in intersection
+                ):
+                    result.append(q2)
+                    break
+        return tuple(result)
+
+
+DIFFERENTIAL_SYSTEMS = (
+    "example6", "example7", "figure3", "section12",
+    "threshold:7,2,2,0,2", "grid-hetero",
+)
+
+
+def random_views(rqs, rng):
+    """One random reader state, fed identically to the kernel and to the
+    oracle, plus the pairs worth asking about.
+
+    A random subset of servers answers (the rest never do and read as
+    ``⟨0, ⊥⟩``).  Each answering server's cells at the asked-about
+    timestamps hold the favoured pair, a rival pair, or nothing, and
+    slot-2 cells carry no ids, a favoured class-2 quorum's id, random
+    class-2 ids, or an id that is not a class-2 quorum.
+    """
+    servers = sorted(rqs.ground_set, key=repr)
+    favourite = rng.choice(rqs.qc2) if rqs.qc2 else None
+    stray = frozenset(servers[:1])  # never a class-2 quorum here
+    pairs = (INITIAL_PAIR, Pair(1, "a"), Pair(1, "b"), Pair(2, "a"))
+    target = rng.choice(pairs)
+    density = rng.random()
+    states = (ReadState(rqs), SetBasedReadState(rqs))
+    round1 = []
+    for server in servers:
+        if rng.random() < 0.2:
+            continue  # never answered
+        cells = {}
+        for ts in (0, 1, 2):
+            for rnd in (1, 2, 3):
+                roll = rng.random()
+                if roll < density:
+                    pair = target if target.ts == ts else Pair(ts, "a")
+                elif roll < density + (1 - density) / 2:
+                    pair = rng.choice(pairs)
+                else:
+                    continue  # untouched cell: the initial entry
+                ids = set()
+                if rnd == 2:
+                    if favourite is not None and rng.random() < 0.8:
+                        ids.add(favourite)
+                    if rqs.qc2 and rng.random() < 0.3:
+                        ids.add(rng.choice(rqs.qc2))
+                    if rng.random() < 0.1:
+                        ids.add(stray)
+                cells[(ts, rnd)] = Entry(pair, frozenset(ids))
+        view = HistoryView(cells)
+        rnd = 1 if rng.random() < 0.8 else 2
+        if rnd == 1:
+            round1.append(server)
+        for state in states:
+            state.record_ack(server, rnd, view)
+    for state in states:
+        state.freeze_round1()
+    if rng.random() < 0.5:
+        # Any QC'2 order: bcd2 must keep it.
+        responded = [q for q in rqs.qc2 if rng.random() < 0.5]
+        rng.shuffle(responded)
+        for state in states:
+            state.qc2_responded = tuple(responded)
+    return states, pairs
+
+
+class TestBcdKernelDifferential:
+    """The bitmask best-case detector (and the once-per-call candidate
+    scan) against the set-based oracle, over seeded random views."""
+
+    VIEWS_PER_SYSTEM = 300
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+    def test_kernel_matches_set_oracle(self, name):
+        rqs = resolve_rqs(name)
+        rng = random.Random(f"bcd-kernel:{name}")
+        agreed_true = 0
+        for _ in range(self.VIEWS_PER_SYSTEM):
+            (kernel, oracle), pairs = random_views(rqs, rng)
+            for c in pairs:
+                for big_r in (1, 2, 3):
+                    expected = oracle.bcd1(c, big_r)
+                    assert kernel.bcd1(c, big_r) == expected, (c, big_r)
+                    agreed_true += expected
+                    assert kernel.bcd2(c, big_r) == oracle.bcd2(c, big_r)
+            assert kernel.candidates() == oracle.candidates()
+            assert kernel.select() == oracle.select()
+            for c in pairs:
+                assert kernel.high_cand(c) == oracle.high_cand(c)
+        # The draw reaches both answers, not just the easy one.
+        assert agreed_true > 0
+
+    def test_initial_pair_held_by_silent_servers(self):
+        """A server that never answered reads ``⟨0, ⊥⟩`` in every slot:
+        with nobody answering, ``BCD(⟨0, ⊥⟩, 1, R)`` holds for R ∈ {1, 3}
+        but not for R = 2 (no server carries a quorum id)."""
+        rqs = resolve_rqs("example6")
+        kernel, oracle = ReadState(rqs), SetBasedReadState(rqs)
+        for big_r in (1, 2, 3):
+            assert kernel.bcd1(INITIAL_PAIR, big_r) == (big_r != 2)
+            assert oracle.bcd1(INITIAL_PAIR, big_r) == (big_r != 2)
