@@ -8,7 +8,8 @@ counterparts consumed as operations *complete*:
 
 * :class:`LatencyAccumulator` — count/mean/min/max plus a fixed-size
   quantile reservoir, fed one completed operation at a time.  Mean
-  accounting is exact (rational running sum), so on FULL runs the
+  accounting is exact (an integer running sum over a power-of-two
+  denominator — floats are dyadic rationals), so on FULL runs the
   accumulator-backed :meth:`~repro.analysis.latency.LatencySummary`
   matches the list-based ``summarize_rounds`` path bit for bit.
 * :class:`QuantileReservoir` — a bounded uniform sample of the latency
@@ -67,6 +68,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.storage.history import BOTTOM
@@ -189,14 +191,20 @@ class LatencyAccumulator:
     """Online latency aggregation for one operation kind.
 
     Tracks count, min/max/sum of self-reported round counts, min/max of
-    completion times, an *exact* rational time sum (so means match the
-    post-hoc path to the last bit) and a bounded quantile reservoir.
+    completion times, an *exact* time sum (so means match the post-hoc
+    path to the last bit) and a bounded quantile reservoir.
     O(reservoir capacity) memory however long the run.
+
+    Every finite float is a dyadic rational ``n / 2**k``, so the time
+    sum is kept as the integer numerator ``_time_num`` over the largest
+    power-of-two denominator ``_time_den`` seen so far: one
+    ``as_integer_ratio`` and a little integer arithmetic per
+    observation, no ``Fraction`` arithmetic.
     """
 
     __slots__ = (
         "kind", "count", "rounds_sum", "min_rounds", "max_rounds",
-        "_time_sum", "min_time", "max_time", "reservoir",
+        "_time_num", "_time_den", "min_time", "max_time", "reservoir",
     )
 
     def __init__(self, kind: str, capacity: int = RESERVOIR_CAPACITY):
@@ -205,7 +213,8 @@ class LatencyAccumulator:
         self.rounds_sum = 0
         self.min_rounds: Optional[int] = None
         self.max_rounds: Optional[int] = None
-        self._time_sum = Fraction(0)
+        self._time_num = 0
+        self._time_den = 1
         self.min_time: Optional[float] = None
         self.max_time: Optional[float] = None
         self.reservoir = QuantileReservoir(capacity)
@@ -218,12 +227,21 @@ class LatencyAccumulator:
             self.min_rounds = rounds
         if self.max_rounds is None or rounds > self.max_rounds:
             self.max_rounds = rounds
-        self._time_sum += Fraction(elapsed)
+        num, den = elapsed.as_integer_ratio()
+        if den > self._time_den:
+            self._time_num *= den // self._time_den
+            self._time_den = den
+        self._time_num += num * (self._time_den // den)
         if self.min_time is None or elapsed < self.min_time:
             self.min_time = elapsed
         if self.max_time is None or elapsed > self.max_time:
             self.max_time = elapsed
         self.reservoir.observe(elapsed)
+
+    @property
+    def _time_sum(self) -> Fraction:
+        """The exact sum of every observed elapsed time."""
+        return Fraction(self._time_num, self._time_den)
 
     @property
     def mean_rounds(self) -> Optional[float]:
@@ -248,7 +266,7 @@ class LatencyAccumulator:
     ) -> "LatencyAccumulator":
         """Merge per-shard accumulators of one kind, order-independently.
 
-        Counts, round sums, min/max bounds and the exact rational time
+        Counts, round sums, min/max bounds and the exact integer time
         sum are commutative, so the merged mean is Fraction-exact — the
         union of shard streams yields the same ``mean_time`` to the
         last bit as a single-process run over the same completions.
@@ -269,8 +287,10 @@ class LatencyAccumulator:
         merged = cls(kind, parts[0].reservoir.capacity)
         merged.count = sum(part.count for part in parts)
         merged.rounds_sum = sum(part.rounds_sum for part in parts)
-        merged._time_sum = sum(
-            (part._time_sum for part in parts), Fraction(0)
+        merged._time_den = max(part._time_den for part in parts)
+        merged._time_num = sum(
+            part._time_num * (merged._time_den // part._time_den)
+            for part in parts
         )
         for name, pick in (
             ("min_rounds", min), ("max_rounds", max),
@@ -373,6 +393,7 @@ class _KeyState:
     __slots__ = (
         "written", "write_times", "write_values",
         "read_times", "read_values", "base_write_bound", "base_read_bound",
+        "pruned_at",
     )
 
     def __init__(self):
@@ -389,6 +410,8 @@ class _KeyState:
         # to (written before) every still-checkable operation.
         self.base_write_bound: Optional[Any] = None
         self.base_read_bound: Optional[Any] = None
+        # The floor of the last prune (None: never pruned).
+        self.pruned_at: Optional[float] = None
 
     def write_bound(self, before: float) -> Optional[Any]:
         """Newest value whose write completed strictly before ``before``."""
@@ -428,6 +451,7 @@ class _KeyState:
             ]
             for value in stale:
                 del self.written[value]
+        self.pruned_at = floor
 
     def retained(self) -> int:
         return (
@@ -473,10 +497,15 @@ class OnlineChecker:
         self.violations: List[OnlineViolation] = []
         self.max_retained = 0
         self._keys: Dict[Hashable, _KeyState] = {}
-        # op_id -> invoked_at of every in-flight storage operation; its
-        # minimum is the window floor nothing older than which can still
-        # be referenced by a future completion.
+        # op_id -> invoked_at of every in-flight storage operation, in
+        # begin (= op id) order; its minimum invocation is the window
+        # floor nothing older than which can still be referenced by a
+        # future completion.
         self._pending: Dict[int, float] = {}
+        # Lazy-deletion min-heap of (invoked_at, op_id) over everything
+        # begun: entries whose op left _pending are dropped when they
+        # surface, so the top is the floor without scanning _pending.
+        self._floor_heap: List[Tuple[float, int]] = []
         # Ops evicted from the window (stuck clients): skipped, never
         # misjudged, if they eventually complete.  Bounded by the
         # number of clients that ever stalled past the overrun bound.
@@ -488,13 +517,31 @@ class OnlineChecker:
     # -- trace subscription ---------------------------------------------------
 
     def on_begin(self, record) -> None:
-        if record.kind in ("write", "read"):
-            self._pending[record.op_id] = record.invoked_at
-            if record.op_id > self._max_op_id:
-                self._max_op_id = record.op_id
-            if record.kind == "write":
-                state = self._state(record.key)
-                state.written[record.value] = (record.invoked_at, None)
+        """Open one storage op's window entry.
+
+        Storage op ids must increase in begin order (a
+        :class:`~repro.sim.trace.Trace` numbers them so): stuck-op
+        eviction relies on ``_pending`` being op-id ordered.  Invocation
+        *times* may arrive in any order.
+        """
+        if record.kind not in ("write", "read"):
+            return
+        op_id = record.op_id
+        if op_id <= self._max_op_id:
+            raise ValueError(
+                f"storage op ids must increase in begin order: op "
+                f"{op_id!r} began after op {self._max_op_id!r}"
+            )
+        self._max_op_id = op_id
+        self._pending[op_id] = record.invoked_at
+        heappush(self._floor_heap, (record.invoked_at, op_id))
+        if record.kind == "write":
+            self._begin_write(record)
+
+    def _begin_write(self, record) -> None:
+        self._state(record.key).written[record.value] = (
+            record.invoked_at, None
+        )
 
     def on_complete(self, record) -> None:
         if record.kind not in ("write", "read"):
@@ -510,19 +557,32 @@ class OnlineChecker:
             self._complete_write(record)
         else:
             self._complete_read(record)
-        self._pending.pop(record.op_id, None)
+        pending = self._pending
+        pending.pop(record.op_id, None)
         # Evict stuck in-flight ops so they cannot pin the floor and
         # regrow O(ops) retained state (the crashed-reader case).
-        if self._pending:
-            horizon = self._max_op_id - self.overrun_ops
-            stuck = [op for op in self._pending if op < horizon]
-            for op in stuck:
-                del self._pending[op]
-                self._evict(op)
-        self._floor = min(
-            self._pending.values(), default=record.completed_at
-        )
-        self._keys[record.key].prune(self._floor)
+        # _pending is op-id ordered, so the stuck ops are its prefix.
+        horizon = self._max_op_id - self.overrun_ops
+        while pending:
+            oldest = next(iter(pending))
+            if oldest >= horizon:
+                break
+            del pending[oldest]
+            self._evict(oldest)
+        heap = self._floor_heap
+        while heap and heap[0][1] not in pending:
+            heappop(heap)
+        if len(heap) > 2 * self.overrun_ops:
+            # Only feeds whose invocation times run against op-id order
+            # can strand this many finished entries below the top.
+            heap[:] = [(at, op) for op, at in pending.items()]
+            heapify(heap)
+        floor = self._floor = heap[0][0] if heap else record.completed_at
+        # Pruning is idempotent at a fixed floor as long as the new
+        # entry does not predate it (always so for simulator feeds).
+        state = self._keys[record.key]
+        if state.pruned_at != floor or record.completed_at < floor:
+            state.prune(floor)
         # Periodic global sweep: prune every key to the shared floor
         # and sample the total retained state for the high-water mark
         # (O(keys) amortized over SWEEP_EVERY completions).
@@ -675,7 +735,7 @@ class _MwKeyState:
     __slots__ = (
         "window", "stamp_of", "inflight", "evicted", "parked",
         "write_times", "write_stamps", "read_times", "read_stamps",
-        "base_write_bound", "base_read_bound",
+        "base_write_bound", "base_read_bound", "pruned_at",
     )
 
     def __init__(self):
@@ -699,6 +759,7 @@ class _MwKeyState:
         self.read_stamps: List[int] = []
         self.base_write_bound: Optional[int] = None
         self.base_read_bound: Optional[int] = None
+        self.pruned_at: Optional[float] = None
 
     def write_bound(self, before: float) -> Optional[int]:
         """Highest stamp whose write completed strictly before ``before``."""
@@ -738,6 +799,7 @@ class _MwKeyState:
                 value = self.window.pop(stamp)[2]
                 if self.stamp_of.get(value) == stamp:
                     del self.stamp_of[value]
+        self.pruned_at = floor
 
     def retained(self) -> int:
         return (
@@ -789,17 +851,9 @@ class MultiWriterOnlineChecker(OnlineChecker):
         # op_id -> (key, value) of in-flight writes, for eviction.
         self._pending_writes: Dict[int, Tuple[Hashable, Any]] = {}
 
-    def on_begin(self, record) -> None:
-        if record.kind in ("write", "read"):
-            self._pending[record.op_id] = record.invoked_at
-            if record.op_id > self._max_op_id:
-                self._max_op_id = record.op_id
-            if record.kind == "write":
-                self._pending_writes[record.op_id] = (
-                    record.key, record.value
-                )
-                state = self._state(record.key)
-                state.inflight[record.value] = record.invoked_at
+    def _begin_write(self, record) -> None:
+        self._pending_writes[record.op_id] = (record.key, record.value)
+        self._state(record.key).inflight[record.value] = record.invoked_at
 
     def _evict(self, op_id: int) -> None:
         super()._evict(op_id)

@@ -37,7 +37,7 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.history import BOTTOM, DEFAULT_KEY, Pair
+from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
 from repro.storage.stamping import DiscoveryInbox, StampIssuer, writer_fleet
 
 
@@ -80,7 +80,7 @@ class AbdServer(Process):
         return self.pair_for(DEFAULT_KEY)
 
     def pair_for(self, key: Hashable) -> Pair:
-        return self.pairs.get(key, Pair(0, BOTTOM))
+        return self.pairs.get(key, INITIAL_PAIR)
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
@@ -96,9 +96,10 @@ class AbdServer(Process):
             )
         elif isinstance(payload, WriteBatch):
             # Apply elements in batch (draw) order, one ack for all.
+            pairs = self.pairs
             for ts, value, key in payload.ops:
-                if ts > self.pair_for(key).ts:
-                    self.pairs[key] = Pair(ts, value)
+                if ts > pairs.get(key, INITIAL_PAIR).ts:
+                    pairs[key] = Pair(ts, value)
             self.send(message.src, BatchAck(payload.batch_no, payload.rnd))
         elif isinstance(payload, ReadBatch):
             self.send(
@@ -106,7 +107,8 @@ class AbdServer(Process):
                 ReadBatchAck(
                     payload.read_no,
                     payload.rnd,
-                    tuple(self.pair_for(key) for key in payload.keys),
+                    tuple(self.pairs.get(key, INITIAL_PAIR)
+                          for key in payload.keys),
                 ),
             )
 

@@ -43,7 +43,7 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.history import BOTTOM, DEFAULT_KEY, Pair
+from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
 from repro.storage.stamping import DiscoveryInbox, StampIssuer, writer_fleet
 
 
@@ -88,9 +88,7 @@ class FastAbdServer(Process):
     def _slots_for(self, key: Hashable) -> Dict[str, Pair]:
         slots = self.slots.get(key)
         if slots is None:
-            slots = self.slots[key] = {
-                "pw": Pair(0, BOTTOM), "w": Pair(0, BOTTOM)
-            }
+            slots = self.slots[key] = {"pw": INITIAL_PAIR, "w": INITIAL_PAIR}
         return slots
 
     @property

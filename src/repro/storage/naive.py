@@ -39,7 +39,7 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.history import BOTTOM, DEFAULT_KEY, Pair
+from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
 from repro.storage.stamping import DiscoveryInbox, StampIssuer, writer_fleet
 
 
@@ -79,7 +79,7 @@ class NaiveServer(Process):
         return self.pair_for(DEFAULT_KEY)
 
     def pair_for(self, key: Hashable) -> Pair:
-        return self.pairs.get(key, Pair(0, BOTTOM))
+        return self.pairs.get(key, INITIAL_PAIR)
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
@@ -94,9 +94,10 @@ class NaiveServer(Process):
                          payload.key),
             )
         elif isinstance(payload, WriteBatch):
+            pairs = self.pairs
             for ts, value, key in payload.ops:
-                if ts > self.pair_for(key).ts:
-                    self.pairs[key] = Pair(ts, value)
+                if ts > pairs.get(key, INITIAL_PAIR).ts:
+                    pairs[key] = Pair(ts, value)
             self.send(message.src, BatchAck(payload.batch_no, payload.rnd))
         elif isinstance(payload, ReadBatch):
             self.send(
@@ -104,7 +105,8 @@ class NaiveServer(Process):
                 ReadBatchAck(
                     payload.read_no,
                     payload.rnd,
-                    tuple(self.pair_for(key) for key in payload.keys),
+                    tuple(self.pairs.get(key, INITIAL_PAIR)
+                          for key in payload.keys),
                 ),
             )
 

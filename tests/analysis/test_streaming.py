@@ -2,17 +2,22 @@
 and the windowed online checker."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.latency import LatencySummary, summarize_rounds
 from repro.analysis.streaming import (
     LatencyAccumulator,
+    MultiWriterOnlineChecker,
     OnlineChecker,
     QuantileReservoir,
     nearest_rank,
 )
-from repro.sim.trace import Trace
+from repro.scenarios import RandomMix, ScenarioSpec, run
+from repro.sim.trace import OperationRecord, Trace
 from repro.storage.history import BOTTOM
 
 
@@ -184,6 +189,75 @@ class TestLatencyAccumulator:
         )
 
 
+# Finite non-negative elapsed times across the whole float range: the
+# extremes, mixed binary exponents, and plain ints.
+elapsed_times = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e300, 0.1, 0.75, 3.0, 2.0 ** -60)),
+    st.floats(min_value=0.0, max_value=1e300,
+              allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+
+
+def _accumulate(samples):
+    accumulator = LatencyAccumulator("read")
+    for elapsed in samples:
+        accumulator.observe(1, elapsed)
+    return accumulator
+
+
+class TestIntegerTimeSum:
+    @given(samples=st.lists(elapsed_times, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_time_sum_is_exact(self, samples):
+        accumulator = _accumulate(samples)
+        assert accumulator._time_sum == sum(map(Fraction, samples))
+        if samples:
+            assert accumulator.mean_time == round(
+                float(sum(map(Fraction, samples)) / len(samples)), 6
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_of_any_split_and_order_is_exact(self, data):
+        samples = data.draw(st.lists(elapsed_times, max_size=40))
+        order = data.draw(st.permutations(range(len(samples))))
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(samples)), max_size=4
+        )))
+        shuffled = [samples[index] for index in order]
+        bounds = [0, *cuts, len(samples)]
+        parts = [
+            _accumulate(shuffled[low:high])
+            for low, high in zip(bounds, bounds[1:])
+        ]
+        merged = LatencyAccumulator.merge(parts)
+        whole = _accumulate(samples)
+        assert merged._time_sum == whole._time_sum
+        assert merged.count == whole.count
+        assert merged.mean_time == whole.mean_time
+
+    @pytest.mark.parametrize("protocol, rqs", [
+        ("abd", None),
+        ("rqs-storage", "example6"),
+    ])
+    def test_mean_time_matches_post_hoc_on_full_runs(self, protocol, rqs):
+        result = run(ScenarioSpec(
+            protocol=protocol, rqs=rqs, readers=3, n_keys=3,
+            workload=(RandomMix(25, 40, horizon=90.0),), seed=21,
+        ))
+        assert not result.streamed
+        for kind in ("write", "read"):
+            accumulator = result.trace.accumulator(kind)
+            post_hoc = summarize_rounds(result.records, kind)
+            assert accumulator.count == post_hoc.count > 0
+            assert accumulator.mean_time == post_hoc.mean_time
+            assert accumulator._time_sum == sum(
+                Fraction(r.completed_at - r.invoked_at)
+                for r in result.of_kind(kind) if r.complete
+            )
+
+
 # -- the windowed online checker -----------------------------------------------
 
 def _checker_on(trace: Trace) -> OnlineChecker:
@@ -337,6 +411,18 @@ class TestOnlineChecker:
         report = checker.report()
         assert report.atomic
         assert report.overrun_unchecked == 1
+
+    @pytest.mark.parametrize(
+        "checker_cls", [OnlineChecker, MultiWriterOnlineChecker]
+    )
+    def test_repeated_op_id_is_rejected(self, checker_cls):
+        """Stuck-op eviction walks the in-flight ops in op-id order, so
+        op ids must increase in begin order (times need not)."""
+        checker = checker_cls()
+        checker.on_begin(OperationRecord(0, "write", "w", 5.0, value=1))
+        checker.on_begin(OperationRecord(1, "read", "r", 1.0))
+        with pytest.raises(ValueError, match="increase in begin order"):
+            checker.on_begin(OperationRecord(1, "read", "r2", 6.0))
 
     def test_old_value_beyond_window_is_still_caught(self):
         trace = Trace(retain=False)
