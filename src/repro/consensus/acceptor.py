@@ -71,6 +71,7 @@ class Acceptor(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        self._ground = tuple(sorted(rqs.ground_set, key=repr))
         self.proposers = tuple(proposers)
         self.learners = tuple(learners)
         self.service = service
@@ -112,7 +113,7 @@ class Acceptor(Process):
 
     def _broadcast_update(self, update: Update) -> None:
         self.old.add(update_statement(update.step, update.value, update.view))
-        for target in sorted(self.rqs.ground_set, key=repr):
+        for target in self._ground:
             self.send(target, update)
         for learner in self.learners:
             self.send(learner, update)
@@ -166,7 +167,7 @@ class Acceptor(Process):
         """Re-validate ``vProof`` and check ``v`` against ``choose()``."""
         if prepare.v_proof is None or prepare.quorum is None:
             return False
-        if prepare.quorum not in set(self.rqs.quorums):
+        if not self.rqs.is_quorum(prepare.quorum):
             return False
         v_proof: Dict[AcceptorId, AckData] = {}
         for ack in prepare.v_proof:
@@ -202,10 +203,25 @@ class Acceptor(Process):
         ):
             return
         step, value = update.step, update.value
+        # Trigger only quorums that can still fire.  While ``update[step]``
+        # already holds ``value``, a quorum in ``update_q[(step, view)]``
+        # would only re-add ``view`` to ``update_view[step]`` (the key
+        # exists only once it is there), and update2 fires once per view.
+        # Otherwise the first trigger resets the step's bookkeeping, so
+        # nothing is stored yet.
+        stored = (
+            self.update_q.get((step, self.view), ())
+            if self.update[step] == value
+            else ()
+        )
+        if step == 2 and stored:
+            return
         for quorum in self.rqs.quorums:
-            if not quorum <= senders:
+            if quorum in stored or not quorum <= senders:
                 continue
             self._trigger_update(step, value, quorum)
+            if step == 2:
+                return
 
     def _trigger_update(self, step: int, value: Any, quorum: QuorumId) -> None:
         """Lines 34-38 for one triggering quorum ``Q``."""
@@ -236,7 +252,7 @@ class Acceptor(Process):
             return
         self.decided = value
         self.decided_event.set()
-        for target in sorted(self.rqs.ground_set, key=repr):
+        for target in self._ground:
             self.send(target, Decision(value))
         self._record_decision(self.pid, value)
 
@@ -246,8 +262,9 @@ class Acceptor(Process):
     def _record_decision(self, src: Hashable, value: Any) -> None:
         senders = self._decision_senders(value)
         senders.add(src)
-        acceptor_senders = senders & set(self.rqs.ground_set)
-        if any(q <= acceptor_senders for q in self.rqs.quorums):
+        # Quorums are subsets of the ground set: non-acceptor senders
+        # never complete one.
+        if any(q <= senders for q in self.rqs.quorums):
             self._stop_suspect_timer()
 
     def _handle_decision_pull(self, src: Hashable) -> None:

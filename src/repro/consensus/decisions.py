@@ -33,6 +33,7 @@ class DecisionTracker:
 
     def __init__(self, rqs: RefinedQuorumSystem):
         self.rqs = rqs
+        self._qc2 = frozenset(rqs.qc2)
         # (step, value, view) -> senders, payload quorum ignored (steps 1, 3)
         self._senders = ConditionMap(AckSet, "update{} v={!r} w={}")
         # (value, view, payload quorum) -> senders (step 2 exact-match rule)
@@ -44,21 +45,22 @@ class DecisionTracker:
 
     def record(self, sender: AcceptorId, update: Update) -> Optional[Any]:
         """Feed one update message; return the decided value, if any."""
-        self._senders(update.step, update.value, update.view).add(sender)
-        if update.step == 2 and update.quorum is not None:
-            self._senders2(update.value, update.view, update.quorum).add(
-                sender
-            )
-        return self._check(update)
-
-    def _check(self, update: Update) -> Optional[Any]:
         senders = self._senders(update.step, update.value, update.view)
+        senders.add(sender)
+        exact = None
+        if update.step == 2 and update.quorum is not None:
+            exact = self._senders2(update.value, update.view, update.quorum)
+            exact.add(sender)
+        return self._check(update, senders, exact)
+
+    def _check(
+        self, update: Update, senders: AckSet, exact: Optional[AckSet]
+    ) -> Optional[Any]:
         if update.step == 1:
             if any(q1 <= senders for q1 in self.rqs.qc1):
                 return update.value
-        elif update.step == 2 and update.quorum is not None:
-            exact = self._senders2(update.value, update.view, update.quorum)
-            if update.quorum in set(self.rqs.qc2) and update.quorum <= exact:
+        elif update.step == 2 and exact is not None:
+            if update.quorum in self._qc2 and update.quorum <= exact:
                 return update.value
         elif update.step == 3:
             if any(q <= senders for q in self.rqs.quorums):

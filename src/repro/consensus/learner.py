@@ -33,6 +33,7 @@ class Learner(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        self._ground = tuple(sorted(rqs.ground_set, key=repr))
         self.trace = trace
         self.learned: Optional[Any] = None
         self.learned_at: Optional[float] = None
@@ -88,6 +89,6 @@ class Learner(Process):
         if self.learned is not None or self.crashed or self._pulls_left <= 0:
             return
         self._pulls_left -= 1
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self._ground:
             self.send(acceptor, DecisionPull())
         self.sim.call_later(self._pull_interval, self._pull)

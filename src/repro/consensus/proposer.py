@@ -55,6 +55,7 @@ class Proposer(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        self._ground = tuple(sorted(rqs.ground_set, key=repr))
         self.proposers = tuple(proposers)
         self.service = service
         self.trace = trace
@@ -135,8 +136,9 @@ class Proposer(Process):
     def _handle_decision(self, src: Hashable, decision: Decision) -> None:
         senders = self._decisions.setdefault(decision.value, set())
         senders.add(src)
-        acceptor_senders = senders & set(self.rqs.ground_set)
-        if any(q <= acceptor_senders for q in self.rqs.quorums):
+        # Quorums are subsets of the ground set: non-acceptor senders
+        # never complete one.
+        if any(q <= senders for q in self.rqs.quorums):
             self.halted = True  # Figure 15 line 104
             self._signal_consult()
 
@@ -157,7 +159,7 @@ class Proposer(Process):
         """Figure 15 lines 101-103: arm acceptor timers and pull decisions."""
         if self.halted or self.crashed:
             return
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self._ground:
             self.send(acceptor, Sync())
             self.send(acceptor, DecisionPull())
 
@@ -171,7 +173,7 @@ class Proposer(Process):
         view = self.view
         if view != INIT_VIEW:
             # Consult phase (Figure 15 lines 2-8).
-            for acceptor in sorted(self.rqs.ground_set, key=repr):
+            for acceptor in self._ground:
                 self.send(acceptor, NewView(view, self.view_proof))
             while True:
                 quorum_holder: Dict[str, QuorumId] = {}
@@ -210,13 +212,13 @@ class Proposer(Process):
                     continue
                 chosen = result.value
                 v_proof = tuple(acks[a] for a in sorted(quorum, key=repr))
-                for acceptor in sorted(self.rqs.ground_set, key=repr):
+                for acceptor in self._ground:
                     self.send(
                         acceptor, Prepare(chosen, view, v_proof, quorum)
                     )
                 return
         # Initial view: no consult phase (Figure 9).
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self._ground:
             self.send(acceptor, Prepare(self.value, INIT_VIEW, None, None))
 
 
@@ -233,7 +235,7 @@ class EquivocatingProposer(Proposer):
         self.value_b = value_b
 
     def _propose_in_current_view(self):
-        acceptors = sorted(self.rqs.ground_set, key=repr)
+        acceptors = self._ground
         half = len(acceptors) // 2
         for acceptor in acceptors[:half]:
             self.send(acceptor, Prepare(self.value_a, INIT_VIEW, None, None))
